@@ -16,9 +16,10 @@ import statistics
 import sys
 import time
 from contextlib import contextmanager, nullcontext
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 perf = time.perf_counter
+T = TypeVar("T")
 
 #: Where runs leave spans and temporary stores (ignored by git).
 OUT_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "out")
@@ -54,11 +55,6 @@ class Tracer:
         finally:
             self._stack.pop()
             self.spans[index][2] = perf()
-
-    def add(self, name: str, start: float, end: float, parent: int) -> None:
-        """Record a finished span whose bounds were measured elsewhere."""
-        if self.enabled:
-            self.spans.append([name, start, end, parent, self.op_id])
 
     def duration(self, index: int) -> float:
         return self.spans[index][2] - self.spans[index][1]
@@ -157,6 +153,10 @@ class HostReference:
     """
 
     INTERVAL_S = 1.0
+    #: Reference ops per sample.  The host's speed spikes for tens of
+    #: milliseconds at a time; the fastest of a few runs of the reference
+    #: op is far steadier than one run.
+    RUNS = 3
 
     def __init__(self) -> None:
         self.samples: List[float] = []
@@ -170,9 +170,12 @@ class HostReference:
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            start = perf()
-            reference_op()
-            self.samples.append(perf() - start)
+            runs = []
+            for _ in range(self.RUNS):
+                start = perf()
+                reference_op()
+                runs.append(perf() - start)
+            self.samples.append(min(runs))
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -194,8 +197,40 @@ class HostReference:
         return [(self.samples[i] + self.samples[i + 1]) / 2 for i in self._before]
 
 
+#: Seconds of one :class:`HostReference` sample on the nominal host in
+#: whose seconds ``setup_s`` is reported: about its median on the 2-core
+#: Xeon VM the benchmark was defined on.
+NOMINAL_REFERENCE_S = 0.015
+
+
+def measure_setup(build: Callable[[], T], repeats: int,
+                  discard: Callable[[T], None]) -> Tuple[T, float, float]:
+    """Run a workload's set-up ``repeats`` times and time it.
+
+    Each repeat is timed between two reference samples and divided by
+    their mean, which takes the host's drift out as it does for the
+    operations; the median of these is converted to seconds of the nominal
+    host.  Returns the last build, that figure and the median raw seconds.
+    ``discard`` receives every earlier build, outside the timed part.
+    """
+    reference = HostReference()
+    reference.sample()
+    raw: List[float] = []
+    scaled: List[float] = []
+    product = None
+    for index in range(repeats):
+        if index:
+            discard(product)
+        start = perf()
+        product = build()
+        raw.append(perf() - start)
+        reference.sample()
+        scaled.append(raw[-1] * 2 / (reference.samples[-2] + reference.samples[-1]))
+    return product, NOMINAL_REFERENCE_S * median(scaled), median(raw)
+
+
 def _calibration_s() -> float:
-    """Median seconds of five reference operations: a host-speed yardstick."""
+    """Median of five reference samples, in seconds: a host-speed yardstick."""
     reference = HostReference()
     for _ in range(5):
         reference.sample()
