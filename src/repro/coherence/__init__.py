@@ -9,7 +9,8 @@ on a 16-node DSM.  This package provides:
   sharers, state) extended with the CMOB pointers TSE adds.
 * :mod:`repro.coherence.protocol` — a functional MESI-style protocol that
   classifies every read as hit / cold miss / capacity miss / coherent read
-  miss ("consumption") and emits the message sequence each transaction needs.
+  miss ("consumption"), and hands the message sequence each transaction
+  needs to an optional message sink.
 """
 
 from repro.coherence.directory import Directory, DirectoryEntry, DirectoryState

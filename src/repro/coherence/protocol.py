@@ -30,14 +30,13 @@ incremented on each write.  A read miss is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.coherence.directory import Directory, DirectoryEntry, DirectoryState
 from repro.coherence.messages import CoherenceMessage, MessageType
 from repro.common.config import CacheConfig
 from repro.common.stats import StatsRegistry, publish_counters
 from repro.common.types import (
-    AccessType,
     BlockAddress,
     Consumption,
     MemoryAccess,
@@ -46,8 +45,8 @@ from repro.common.types import (
 )
 from repro.memory.cache import Cache, LineState
 
-#: Small-int read-classification codes returned by the columnar fast path
-#: (:meth:`CoherenceProtocol.read_ints`); writes have no code — the caller
+#: Small-int read-classification codes returned by
+#: :meth:`CoherenceProtocol.read_ints`; writes have no code — the caller
 #: already knows the access was a write.
 READ_HIT = 0
 READ_COHERENT = 1
@@ -55,14 +54,14 @@ READ_SPIN_COHERENT = 2
 READ_COLD = 3
 READ_CAPACITY = 4
 
-#: MissClass -> fast-path read code (used by the message-emitting adapter).
-READ_CODE_OF_MISS = {
-    MissClass.HIT: READ_HIT,
-    MissClass.COHERENT_READ_MISS: READ_COHERENT,
-    MissClass.SPIN_COHERENT_MISS: READ_SPIN_COHERENT,
-    MissClass.COLD_MISS: READ_COLD,
-    MissClass.CAPACITY_MISS: READ_CAPACITY,
-}
+#: ``READ_*`` code -> MissClass (the object-level view :meth:`process` returns).
+_MISS_CLASS_OF_READ = (
+    MissClass.HIT,
+    MissClass.COHERENT_READ_MISS,
+    MissClass.SPIN_COHERENT_MISS,
+    MissClass.COLD_MISS,
+    MissClass.CAPACITY_MISS,
+)
 
 
 @dataclass(slots=True)
@@ -74,8 +73,6 @@ class AccessResult:
         miss_class: Hit/miss classification.
         producer: Node whose write produced the version being read (only
             meaningful for coherent read misses).
-        messages: Coherence messages generated by the transaction (empty when
-            message emission is disabled for speed).
         is_consumption: True when this access counts as a consumption
             (coherent read miss, not a spin).
     """
@@ -83,7 +80,6 @@ class AccessResult:
     access: MemoryAccess
     miss_class: MissClass
     producer: Optional[NodeId] = None
-    messages: List[CoherenceMessage] = field(default_factory=list)
 
     @property
     def is_consumption(self) -> bool:
@@ -100,20 +96,27 @@ class _BlockState:
     #: infinite mode). Missing key == never held.
     held_version: Dict[NodeId, int] = field(default_factory=dict)
     #: Lazily linked directory entry for this block (one dict probe saved on
-    #: every fast-path miss/write).  Entries are created once and never
-    #: replaced, so the link cannot go stale.
+    #: every miss/write).  Entries are created once and never replaced, so
+    #: the link cannot go stale.
     entry: Optional[DirectoryEntry] = None
 
 
 class CoherenceProtocol:
-    """Functional MESI-style directory protocol with miss classification."""
+    """Functional MESI-style directory protocol with miss classification.
+
+    :meth:`read_ints`, :meth:`write_ints` and :meth:`install_copy` are the
+    only code that applies coherence transitions; :meth:`process` is the
+    object-level wrapper.  When ``message_sink`` is set, every transaction
+    hands its coherence messages to it in protocol order (the traffic
+    accounting of Figure 11); with no sink, no message is ever built.
+    """
 
     def __init__(
         self,
         num_nodes: int,
         cache_model: str = "infinite",
         l2_config: Optional[CacheConfig] = None,
-        emit_messages: bool = False,
+        message_sink: Optional[Callable[[CoherenceMessage], None]] = None,
         cmob_pointers_per_block: int = 2,
     ) -> None:
         if cache_model not in ("infinite", "finite"):
@@ -122,7 +125,7 @@ class CoherenceProtocol:
             raise ValueError("finite cache model requires an l2_config")
         self.num_nodes = num_nodes
         self.cache_model = cache_model
-        self.emit_messages = emit_messages
+        self.message_sink = message_sink
         self.directory = Directory(num_nodes, cmob_pointers_per_block)
         self._stats = StatsRegistry(prefix="protocol")
         # Per-access classification counts, kept as plain ints on the hot
@@ -153,179 +156,28 @@ class CoherenceProtocol:
             "write_misses": self._n_write_misses,
         })
 
-    # ------------------------------------------------------------------ utils
-    def _block(self, address: BlockAddress) -> _BlockState:
-        state = self._blocks.get(address)
-        if state is None:
-            state = _BlockState()
-            self._blocks[address] = state
-        return state
-
-    def _holds(self, node: NodeId, address: BlockAddress, block: _BlockState) -> bool:
-        """Does ``node`` currently hold a valid, current-version copy?"""
-        held = block.held_version.get(node)
-        if held is None or held != block.version:
-            return False
-        if self._caches is not None:
-            return self._caches[node].contains(address)
-        return True
-
-    def _fill(self, node: NodeId, address: BlockAddress, block: _BlockState, writable: bool) -> None:
-        """Install the current version of the block in the node's cache."""
-        block.held_version[node] = block.version
-        if self._caches is not None:
-            state = LineState.MODIFIED if writable else LineState.SHARED
-            self._caches[node].fill(address, state)
-
-    def _invalidate_others(self, writer: NodeId, address: BlockAddress, block: _BlockState) -> List[NodeId]:
-        """Invalidate every copy other than the writer's; return invalidated nodes."""
-        invalidated = []
-        for node in list(block.held_version.keys()):
-            if node == writer:
-                continue
-            del block.held_version[node]
-            if self._caches is not None:
-                self._caches[node].invalidate(address)
-            invalidated.append(node)
-        return invalidated
-
     # -------------------------------------------------------------- processing
     def process(self, access: MemoryAccess) -> AccessResult:
-        """Process one access and return its classification and messages."""
+        """Process one access and return its classification."""
+        node, address = access.node, access.address
         if access.is_write:
-            return self._process_write(access)
-        return self._process_read(access)
+            hit = self.write_ints(node, address)
+            return AccessResult(access, MissClass.HIT if hit else MissClass.WRITE_MISS)
+        code = self.read_ints(node, address, access.is_spin)
+        producer = None
+        if code == READ_COHERENT or code == READ_SPIN_COHERENT:
+            producer = self._blocks[address].last_writer
+        return AccessResult(access, _MISS_CLASS_OF_READ[code], producer)
 
     def process_trace(self, accesses) -> List[AccessResult]:
         """Process an iterable of accesses; convenience for tests/examples."""
         return [self.process(a) for a in accesses]
 
-    def _process_read(self, access: MemoryAccess) -> AccessResult:
-        node, address = access.node, access.address
-        block = self._block(address)
-        entry = self.directory.entry(address)
-        home = self.directory.home_of(address)
-        messages: List[CoherenceMessage] = []
-
-        if self._holds(node, address, block):
-            self._n_read_hits += 1
-            return AccessResult(access, MissClass.HIT)
-
-        held = block.held_version.get(node)
-        remote_producer = (
-            block.version > 0
-            and block.last_writer is not None
-            and block.last_writer != node
-        )
-
-        if remote_producer and (held is None or held < block.version):
-            # The version being read was produced by another node.
-            if access.is_spin:
-                miss_class = MissClass.SPIN_COHERENT_MISS
-                self._n_spin_coherent_misses += 1
-            else:
-                miss_class = MissClass.COHERENT_READ_MISS
-                self._n_coherent_read_misses += 1
-            producer = block.last_writer
-            if self.emit_messages:
-                messages.append(
-                    CoherenceMessage(MessageType.READ_REQUEST, node, home, address)
-                )
-                owner_has_copy = producer is not None and producer in block.held_version
-                if owner_has_copy and producer != home:
-                    messages.append(
-                        CoherenceMessage(MessageType.FORWARD_REQUEST, home, producer, address)
-                    )
-                    messages.append(
-                        CoherenceMessage(
-                            MessageType.DATA_REPLY_COHERENT, producer, node, address
-                        )
-                    )
-                else:
-                    messages.append(
-                        CoherenceMessage(MessageType.DATA_REPLY_COHERENT, home, node, address)
-                    )
-            # Reading downgrades a modified owner to shared.
-            if entry.owner is not None and entry.owner != node and self._caches is not None:
-                self._caches[entry.owner].downgrade(address)
-            entry.owner = None
-            entry.sharers.add(node)
-            entry.state = DirectoryState.SHARED
-            self._fill(node, address, block, writable=False)
-            return AccessResult(access, miss_class, producer=producer, messages=messages)
-
-        # Miss on data this node has already observed (finite caches only) or
-        # on never-written data: capacity or cold.
-        if held is not None and held == block.version:
-            miss_class = MissClass.CAPACITY_MISS
-            self._n_capacity_misses += 1
-        else:
-            miss_class = MissClass.COLD_MISS
-            self._n_cold_misses += 1
-        if self.emit_messages:
-            messages.append(CoherenceMessage(MessageType.READ_REQUEST, node, home, address))
-            messages.append(CoherenceMessage(MessageType.DATA_REPLY, home, node, address))
-        entry.sharers.add(node)
-        if entry.state is DirectoryState.UNCACHED:
-            entry.state = DirectoryState.SHARED
-        self._fill(node, address, block, writable=False)
-        return AccessResult(access, miss_class, messages=messages)
-
-    def _process_write(self, access: MemoryAccess) -> AccessResult:
-        node, address = access.node, access.address
-        block = self._block(address)
-        entry = self.directory.entry(address)
-        home = self.directory.home_of(address)
-        messages: List[CoherenceMessage] = []
-
-        had_copy = self._holds(node, address, block)
-        invalidated = self._invalidate_others(node, address, block)
-
-        if self.emit_messages:
-            if had_copy and not invalidated:
-                pass  # silent upgrade of an exclusive copy
-            else:
-                req = (
-                    MessageType.UPGRADE_REQUEST if had_copy else MessageType.READ_EXCLUSIVE_REQUEST
-                )
-                messages.append(CoherenceMessage(req, node, home, address))
-                for victim in invalidated:
-                    if victim == home:
-                        continue
-                    messages.append(
-                        CoherenceMessage(MessageType.INVALIDATE, home, victim, address)
-                    )
-                    messages.append(
-                        CoherenceMessage(MessageType.INVALIDATE_ACK, victim, node, address)
-                    )
-                if not had_copy:
-                    messages.append(
-                        CoherenceMessage(MessageType.DATA_REPLY, home, node, address)
-                    )
-
-        block.version += 1
-        block.last_writer = node
-        entry.state = DirectoryState.MODIFIED
-        entry.owner = node
-        entry.sharers = {node}
-        entry.ever_written = True
-        self._fill(node, address, block, writable=True)
-        if had_copy:
-            self._n_write_hits += 1
-        else:
-            self._n_write_misses += 1
-        return AccessResult(access, MissClass.WRITE_MISS if not had_copy else MissClass.HIT,
-                            messages=messages)
-
-    # ----------------------------------------------------- columnar fast path
-    #
-    # ``read_ints`` / ``write_ints`` are the (block, node, type)-ints entry
-    # points used by the chunked replay loop when message emission is off:
-    # the same classification state machine as ``_process_read`` /
-    # ``_process_write``, with no ``MemoryAccess`` / ``AccessResult``
-    # allocation and no directory-entry lookups on the read-hit path (a hit
-    # implies a prior fill, so the entry already exists).  Equivalence with
-    # the object path is locked in by ``tests/test_perf_infra.py``.
+    # ``read_ints`` / ``write_ints`` take raw (node, block, spin) ints so the
+    # chunked replay loops call them with no ``MemoryAccess`` /
+    # ``AccessResult`` allocation, and the read-hit path does no
+    # directory-entry lookup (a hit implies a prior fill, so the entry
+    # already exists).
     def read_ints(self, node: NodeId, address: BlockAddress, is_spin: bool) -> int:
         """Classify (and apply) one read; returns a ``READ_*`` code."""
         caches = self._caches
@@ -345,16 +197,13 @@ class CoherenceProtocol:
         version = block.version
         entry = block.entry
         if entry is None:
-            entries = self.directory._entries
-            entry = entries.get(address)
-            if entry is None:
-                entry = DirectoryEntry()
-                entries[address] = entry
-            block.entry = entry
+            entry = block.entry = self.directory.entry(address)
+        sink = self.message_sink
+        producer = block.last_writer
         if (
             version > 0
-            and block.last_writer is not None
-            and block.last_writer != node
+            and producer is not None
+            and producer != node
             and (held is None or held < version)
         ):
             # The version being read was produced by another node.
@@ -364,29 +213,45 @@ class CoherenceProtocol:
             else:
                 code = READ_COHERENT
                 self._n_coherent_read_misses += 1
+            if sink is not None:
+                home = self.directory.home_of(address)
+                sink(CoherenceMessage(MessageType.READ_REQUEST, node, home, address))
+                replier = home
+                if producer != home and producer in block.held_version:
+                    # Three-hop: the home forwards to the producer's copy.
+                    sink(CoherenceMessage(MessageType.FORWARD_REQUEST, home, producer, address))
+                    replier = producer
+                sink(CoherenceMessage(MessageType.DATA_REPLY_COHERENT, replier, node, address))
+            # Reading downgrades a modified owner to shared.
             if entry.owner is not None and entry.owner != node and caches is not None:
                 caches[entry.owner].downgrade(address)
             entry.owner = None
             entry.sharers.add(node)
             entry.state = DirectoryState.SHARED
         else:
+            # Miss on data this node has already observed (finite caches
+            # only) or on never-written data: capacity or cold.
             if held is not None and held == version:
                 code = READ_CAPACITY
                 self._n_capacity_misses += 1
             else:
                 code = READ_COLD
                 self._n_cold_misses += 1
+            if sink is not None:
+                home = self.directory.home_of(address)
+                sink(CoherenceMessage(MessageType.READ_REQUEST, node, home, address))
+                sink(CoherenceMessage(MessageType.DATA_REPLY, home, node, address))
             entry.sharers.add(node)
             if entry.state is DirectoryState.UNCACHED:
                 entry.state = DirectoryState.SHARED
-        # Inline _fill: install the current version in the node's cache.
+        # Install the current version in the node's cache.
         block.held_version[node] = version
         if caches is not None:
             caches[node].fill(address, LineState.SHARED)
         return code
 
-    def write_ints(self, node: NodeId, address: BlockAddress) -> None:
-        """Apply one write (or atomic); counters classify hit vs. miss."""
+    def write_ints(self, node: NodeId, address: BlockAddress) -> bool:
+        """Apply one write (or atomic); returns True for a write hit."""
         caches = self._caches
         block = self._blocks.get(address)
         if block is None:
@@ -404,15 +269,32 @@ class CoherenceProtocol:
             # version copy, so its last write left the directory entry at
             # exactly (MODIFIED, owner=node, sharers={node}, ever_written)
             # and no reader has touched the block since (any remote read
-            # would have grown ``held_map``).  Only the version moves.
+            # would have grown ``held_map``).  Only the version moves, and
+            # the upgrade is silent: no messages.
             version += 1
             block.version = version
             held_map[node] = version
             self._n_write_hits += 1
-            return None
-        had_copy = held_map.get(node) == block.version and (
+            return True
+        had_copy = held_map.get(node) == version and (
             caches is None or caches[node].contains(address)
         )
+        sink = self.message_sink
+        if sink is not None:
+            victims = [victim for victim in held_map if victim != node]
+            if victims or not had_copy:  # else: silent upgrade, no messages
+                home = self.directory.home_of(address)
+                request = (
+                    MessageType.UPGRADE_REQUEST if had_copy
+                    else MessageType.READ_EXCLUSIVE_REQUEST
+                )
+                sink(CoherenceMessage(request, node, home, address))
+                for victim in victims:
+                    if victim != home:
+                        sink(CoherenceMessage(MessageType.INVALIDATE, home, victim, address))
+                        sink(CoherenceMessage(MessageType.INVALIDATE_ACK, victim, node, address))
+                if not had_copy:
+                    sink(CoherenceMessage(MessageType.DATA_REPLY, home, node, address))
         if held_map:
             # Invalidate every copy other than the writer's (the common cases
             # hold one or two copies; fall back to the general loop).
@@ -440,20 +322,15 @@ class CoherenceProtocol:
                         caches[victim].invalidate(address)
         entry = block.entry
         if entry is None:
-            entries = self.directory._entries
-            entry = entries.get(address)
-            if entry is None:
-                entry = DirectoryEntry()
-                entries[address] = entry
-            block.entry = entry
-        version = block.version + 1
+            entry = block.entry = self.directory.entry(address)
+        version += 1
         block.version = version
         block.last_writer = node
         entry.state = DirectoryState.MODIFIED
         entry.owner = node
         entry.sharers = {node}
         entry.ever_written = True
-        # Inline _fill: install the freshly written version.
+        # Install the freshly written version.
         held_map[node] = version
         if caches is not None:
             caches[node].fill(address, LineState.MODIFIED)
@@ -461,36 +338,7 @@ class CoherenceProtocol:
             self._n_write_hits += 1
         else:
             self._n_write_misses += 1
-        return None
-
-    def install_copy_ints(self, node: NodeId, address: BlockAddress) -> None:
-        """Fast-path :meth:`install_copy` for the infinite cache model.
-
-        Same state transitions, no cache-hierarchy bookkeeping (there is
-        none to do without finite caches) and direct dict access.
-        """
-        blocks = self._blocks
-        block = blocks.get(address)
-        if block is None:
-            block = _BlockState()
-            blocks[address] = block
-        entry = block.entry
-        if entry is None:
-            entries = self.directory._entries
-            entry = entries.get(address)
-            if entry is None:
-                entry = DirectoryEntry()
-                entries[address] = entry
-            block.entry = entry
-        state = entry.state
-        if state is DirectoryState.MODIFIED:
-            if entry.owner != node:
-                entry.owner = None
-                entry.state = DirectoryState.SHARED
-        elif state is DirectoryState.UNCACHED:
-            entry.state = DirectoryState.SHARED
-        entry.sharers.add(node)
-        block.held_version[node] = block.version
+        return had_copy
 
     def install_copy(self, node: NodeId, address: BlockAddress) -> None:
         """Install a clean shared copy of the current version at ``node``.
@@ -499,18 +347,28 @@ class CoherenceProtocol:
         obtains the data without going through a demand miss, so the protocol
         records it as a sharer of the current version directly.
         """
-        block = self._block(address)
-        entry = self.directory.entry(address)
-
-        if entry.owner is not None and entry.owner != node and self._caches is not None:
-            self._caches[entry.owner].downgrade(address)
-        if entry.state is DirectoryState.MODIFIED and entry.owner != node:
-            entry.owner = None
-            entry.state = DirectoryState.SHARED
-        elif entry.state is DirectoryState.UNCACHED:
+        caches = self._caches
+        block = self._blocks.get(address)
+        if block is None:
+            block = _BlockState()
+            self._blocks[address] = block
+        entry = block.entry
+        if entry is None:
+            entry = block.entry = self.directory.entry(address)
+        owner = entry.owner
+        if owner is not None and owner != node and caches is not None:
+            caches[owner].downgrade(address)
+        state = entry.state
+        if state is DirectoryState.MODIFIED:
+            if owner != node:
+                entry.owner = None
+                entry.state = DirectoryState.SHARED
+        elif state is DirectoryState.UNCACHED:
             entry.state = DirectoryState.SHARED
         entry.sharers.add(node)
-        self._fill(node, address, block, writable=False)
+        block.held_version[node] = block.version
+        if caches is not None:
+            caches[node].fill(address, LineState.SHARED)
 
     # ------------------------------------------------------------- inspection
     def block_info(self, address: BlockAddress) -> Tuple[Optional[NodeId], int]:
@@ -533,7 +391,11 @@ class CoherenceProtocol:
         block = self._blocks.get(address)
         if block is None:
             return []
-        return [n for n in block.held_version if self._holds(n, address, block)]
+        caches = self._caches
+        return [
+            n for n, held in block.held_version.items()
+            if held == block.version and (caches is None or caches[n].contains(address))
+        ]
 
 
 def extract_consumptions(

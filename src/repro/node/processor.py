@@ -116,7 +116,6 @@ class ProcessorModel:
         node: int,
         accesses: Sequence[MemoryAccess],
         outcomes: Sequence[Tuple[int, int]],
-        tse_enabled: bool = False,
     ) -> NodeTimingResult:
         """Walk one node's accesses with their outcome labels.
 
@@ -125,8 +124,6 @@ class ProcessorModel:
             accesses: The node's accesses in program order.
             outcomes: Parallel (Outcome, lead_instructions) labels produced by
                 the functional simulator for the same accesses.
-            tse_enabled: True when the labels come from a TSE run (SVB hits
-                appear and partial coverage must be computed).
         """
         result = NodeTimingResult(node=node)
         if len(accesses) != len(outcomes):

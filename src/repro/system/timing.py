@@ -1,10 +1,13 @@
 """DSM timing simulation: execution-time breakdown, speedups, timeliness.
 
-Mirrors the paper's methodology split: the functional trace-driven simulator
-(:mod:`repro.tse.simulator`) decides *which* misses TSE eliminates, and this
+Mirrors the paper's methodology split: the functional simulator decides
+*which* misses are consumptions and which of them TSE eliminates, and this
 timing model decides *how much time* that saves, by replaying each node's
 labelled access sequence through the interval-based processor model with the
-Table 1 latencies.
+Table 1 latencies.  The base system is labelled by one plain coherence
+classification pass (:mod:`repro.coherence.protocol`); the TSE system by an
+exact-plane replay (:mod:`repro.tse.simulator`) that also records each SVB
+hit's lead.
 
 Outputs map directly onto the paper's results:
 
@@ -17,16 +20,19 @@ Outputs map directly onto the paper's results:
 
 from __future__ import annotations
 
+import gc
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
-from repro.common.chunk import ChunkedTrace
+from repro.coherence.protocol import CoherenceProtocol
+from repro.common.chunk import ChunkedTrace, TraceChunk
 from repro.common.config import SystemConfig, TSEConfig
 from repro.common.stats import ratio
-from repro.common.types import AccessTrace
+from repro.common.types import TYPE_IS_WRITE, TYPE_SPIN_READ, AccessTrace
 from repro.node.latency import LatencyModel
 from repro.node.processor import NodeTimingResult, ProcessorModel
-from repro.tse.simulator import TSESimulator, TSEStats
+from repro.tse.simulator import Outcome, TSESimulator, TSEStats
 
 
 @dataclass
@@ -103,6 +109,73 @@ class TimingResult:
         return ratio(self.partially_covered, self.total_consumptions)
 
 
+#: Outcome label of each ``READ_*`` classification code (base system).
+_OUTCOME_OF_READ = (
+    int(Outcome.OTHER),
+    int(Outcome.CONSUMPTION),
+    int(Outcome.SPIN),
+    int(Outcome.COLD_MISS),
+    int(Outcome.CAPACITY_MISS),
+)
+
+
+def _classify(trace: "Union[AccessTrace, ChunkedTrace]") -> Tuple[array, array]:
+    """Base-system labels: one coherence classification pass, no TSE.
+
+    Without TSE there are no SVB hits, so every read is labelled by its miss
+    class alone and every lead is zero.
+    """
+    protocol = CoherenceProtocol(trace.num_nodes)
+    read_ints, write_ints = protocol.read_ints, protocol.write_ints
+    is_write, spin_code = TYPE_IS_WRITE, TYPE_SPIN_READ
+    outcome_of_read, outcome_write = _OUTCOME_OF_READ, int(Outcome.WRITE)
+    chunks = (
+        trace.chunks() if isinstance(trace, ChunkedTrace)
+        else [TraceChunk.from_accesses(trace.accesses)]
+    )
+    codes = array("B")
+    append = codes.append
+    gc_was_enabled = gc.isenabled()
+    gc.disable()  # the pass allocates no reference cycles
+    try:
+        for chunk in chunks:
+            columns = zip(chunk.types.tolist(), chunk.nodes.tolist(), chunk.blocks.tolist())
+            for type_code, node, address in columns:
+                if is_write[type_code]:
+                    write_ints(node, address)
+                    append(outcome_write)
+                else:
+                    append(outcome_of_read[read_ints(node, address, type_code == spin_code)])
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return codes, array("q", [0]) * len(codes)
+
+
+def _cached_labels(
+    trace: "Union[AccessTrace, ChunkedTrace]", key: Hashable, label: Callable
+) -> tuple:
+    """Memoize a labelling of ``trace`` on the trace object itself.
+
+    TSE labellings are keyed by their exact configuration.  The base
+    labels depend on the trace alone, so every configuration sweep over the
+    same trace shares one classification pass, and repeated ``compare()``
+    calls (Figure 14 + Table 3) reuse both labellings outright.
+    The trace length guards against ``AccessTrace.append``/``extend`` after a
+    cached run: a grown trace gets a fresh labelling.
+    """
+    cache: Dict = getattr(trace, "_label_cache", None)
+    if cache is None:
+        cache = {}
+        trace._label_cache = cache  # type: ignore[attr-defined]
+    cache_key = (key, len(trace))
+    cached = cache.get(cache_key)
+    if cached is None:
+        cached = label(trace)
+        cache[cache_key] = cached
+    return cached
+
+
 class TimingSimulator:
     """Runs the base system and TSE over one trace and compares them."""
 
@@ -117,63 +190,27 @@ class TimingSimulator:
         self._processor = ProcessorModel(self.system, self.latency)
 
     # ---------------------------------------------------------------- plumbing
-    def _label_trace(
-        self, trace: "Union[AccessTrace, ChunkedTrace]", tse_enabled: bool,
-        warmup_fraction: float
+    def _replay_tse(
+        self, trace: "Union[AccessTrace, ChunkedTrace]"
     ) -> Tuple[TSEStats, Sequence[int], Sequence[int]]:
-        """Run the functional simulator to label each access with its outcome.
-
-        A packed :class:`ChunkedTrace` is labelled through the columnar
-        replay fast path; the timing walk itself reads the thin object view.
-        Label runs are memoized on the trace object, keyed by the exact
-        TSE configuration used.  The base-system labeling uses a degenerate
-        configuration whose behaviour is independent of the interesting TSE
-        knobs (lookahead, SVB size, ...), so every configuration sweep over
-        the same trace shares a single base run — and repeated ``compare()``
-        calls (Figure 14 + Table 3) reuse both label runs outright.
-        """
-        if tse_enabled:
-            config = self.tse_config
-        else:
-            # A degenerate TSE that never finds streams behaves as the base
-            # system while reusing the same classification machinery.
-            config = self.tse_config.with_(
-                compared_streams=1,
-                cmob_pointers_per_block=1,
-                stream_lookahead=0,
-                queue_depth=1,
-                refill_threshold=1,
-            )
-        del warmup_fraction  # the timing walk measures the whole trace
-        cache: Dict = getattr(trace, "_label_cache", None)
-        if cache is None:
-            cache = {}
-            trace._label_cache = cache  # type: ignore[attr-defined]
-        # The trace length guards against AccessTrace.append/extend after a
-        # cached label run: a grown trace gets a fresh labeling.
-        key = (config, len(trace))
-        cached = cache.get(key)
-        if cached is None:
-            # Outcome labeling needs per-access fill times, which only the
-            # exact plane records: pin mode explicitly so an ambient
-            # REPRO_FAST_MODE never reaches the timing model.  (Fast-mode
-            # sweeps still speed up their functional runs; timing
-            # comparisons are exact by construction.)
-            simulator = TSESimulator(
-                trace.num_nodes, tse_config=config, record_outcomes=True,
-                mode="exact",
-            )
-            stats = simulator.run(trace, warmup_fraction=0.0)
-            cached = (stats, simulator.outcome_codes, simulator.outcome_leads)
-            cache[key] = cached
-        return cached
+        """Label each access with its TSE outcome and SVB-hit lead."""
+        # Outcome labeling needs per-access fill times, which only the exact
+        # plane records: pin mode explicitly so an ambient REPRO_FAST_MODE
+        # never reaches the timing model.  (Fast-mode sweeps still speed up
+        # their functional runs; timing comparisons are exact by
+        # construction.)
+        simulator = TSESimulator(
+            trace.num_nodes, tse_config=self.tse_config, record_outcomes=True,
+            mode="exact",
+        )
+        stats = simulator.run(trace, warmup_fraction=0.0)
+        return stats, simulator.outcome_codes, simulator.outcome_leads
 
     def _run_timing(
         self,
         trace: "Union[AccessTrace, ChunkedTrace]",
         codes: Sequence[int],
         leads: Sequence[int],
-        tse_enabled: bool,
         label: str,
     ) -> TimingResult:
         per_node_accesses: List[List] = [[] for _ in range(trace.num_nodes)]
@@ -184,22 +221,20 @@ class TimingSimulator:
         result = TimingResult(label=label, workload=trace.name)
         for node in range(trace.num_nodes):
             result.per_node.append(
-                self._processor.run_node(
-                    node, per_node_accesses[node], per_node_outcomes[node], tse_enabled
-                )
+                self._processor.run_node(node, per_node_accesses[node], per_node_outcomes[node])
             )
         return result
 
     # --------------------------------------------------------------------- API
     def run_base(self, trace: "Union[AccessTrace, ChunkedTrace]") -> TimingResult:
         """Time the baseline system (no TSE) on a trace."""
-        _, codes, leads = self._label_trace(trace, tse_enabled=False, warmup_fraction=0.0)
-        return self._run_timing(trace, codes, leads, tse_enabled=False, label="base")
+        codes, leads = _cached_labels(trace, "base", _classify)
+        return self._run_timing(trace, codes, leads, label="base")
 
     def run_tse(self, trace: "Union[AccessTrace, ChunkedTrace]") -> Tuple[TimingResult, TSEStats]:
         """Time the TSE-equipped system; also returns the functional stats."""
-        stats, codes, leads = self._label_trace(trace, tse_enabled=True, warmup_fraction=0.0)
-        timing = self._run_timing(trace, codes, leads, tse_enabled=True, label="tse")
+        stats, codes, leads = _cached_labels(trace, self.tse_config, self._replay_tse)
+        timing = self._run_timing(trace, codes, leads, label="tse")
         return timing, stats
 
     def compare(self, trace: "Union[AccessTrace, ChunkedTrace]") -> "TimingComparison":

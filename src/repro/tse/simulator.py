@@ -19,11 +19,12 @@ The replay loop is the hottest code in the repository: every experiment point
 replays hundreds of thousands of accesses through it.  ``_replay_chunk``
 therefore consumes packed :class:`~repro.common.chunk.TraceChunk` columns
 directly — raw node / block / type-code ints classified through lookup
-tables and the coherence protocol's ``read_ints`` / ``write_ints`` fast
-path, with the common read-hit outcome inlined in the loop, counters in
-plain local ints (synced into :class:`TSEStats` at chunk end), outcomes
-recorded into parallel ``array`` buffers, and the cyclic GC paused for the
-duration of a run (the loop allocates no reference cycles).  The legacy
+tables and the coherence protocol's ``read_ints`` / ``write_ints`` (its one
+state machine, which also hands messages to the traffic accountant when
+traffic is tracked), with the common read-hit outcome inlined in the loop,
+counters in plain local ints (synced into :class:`TSEStats` at chunk end),
+outcomes recorded into parallel ``array`` buffers, and the cyclic GC paused
+for the duration of a run (the loop allocates no reference cycles).  The legacy
 object path (``AccessTrace`` / ``MemoryAccess`` iterables) packs into a
 chunk and replays through the same loop, so all ingestion paths are
 bit-identical.
@@ -39,7 +40,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.coherence.protocol import (
     READ_CAPACITY,
-    READ_CODE_OF_MISS,
     READ_COHERENT,
     READ_COLD,
     READ_SPIN_COHERENT,
@@ -56,13 +56,7 @@ from repro.common.config import (
     resolve_mode,
 )
 from repro.common.stats import Histogram, ratio
-from repro.common.types import (
-    TYPE_IS_WRITE,
-    TYPE_SPIN_READ,
-    AccessTrace,
-    AccessType,
-    MemoryAccess,
-)
+from repro.common.types import TYPE_IS_WRITE, TYPE_SPIN_READ, AccessTrace, MemoryAccess
 from repro.interconnect.network import TrafficAccountant
 from repro.tse.engine import TemporalStreamingSystem
 from repro.tse.fast_engine import FastTemporalStreamingSystem
@@ -186,13 +180,6 @@ class TSESimulator:
         self.outcome_leads = array("q")  # repro-lint: disable=RL004
         self._node_access_counts = [0] * num_nodes
         self.tse_config = tse_config if tse_config is not None else TSEConfig.paper_default()
-        self.protocol = CoherenceProtocol(
-            num_nodes,
-            cache_model=cache_model,
-            l2_config=l2_config,
-            emit_messages=account_traffic,
-            cmob_pointers_per_block=self.tse_config.cmob_pointers_per_block,
-        )
         self.traffic: Optional[TrafficAccountant] = None
         sink = None
         if account_traffic:
@@ -201,6 +188,13 @@ class TSESimulator:
             )
             self.traffic = TrafficAccountant(icfg)
             sink = self.traffic.record
+        self.protocol = CoherenceProtocol(
+            num_nodes,
+            cache_model=cache_model,
+            l2_config=l2_config,
+            message_sink=sink,
+            cmob_pointers_per_block=self.tse_config.cmob_pointers_per_block,
+        )
         #: Exactly one replay plane is built; ``tse`` is the exact plane,
         #: ``fast`` the batched one (the unused plane is None).
         self.tse: Optional[TemporalStreamingSystem] = None
@@ -411,37 +405,6 @@ class TSESimulator:
         """
         self._replay_chunk(TraceChunk.from_accesses(accesses))
 
-    def _message_adapters(self):
-        """(read, write) callables for the message-emitting (traffic) path.
-
-        They reconstruct minimal accesses for the object-path protocol
-        methods and feed the resulting messages to the traffic accountant,
-        returning the same int classification codes as the fast path.
-        """
-        process_read = self.protocol._process_read
-        process_write = self.protocol._process_write
-        traffic = self.traffic
-        record_all = traffic.record_all if traffic is not None else None
-        code_of = READ_CODE_OF_MISS
-        read_type = AccessType.READ
-        spin_type = AccessType.SPIN_READ
-        write_type = AccessType.WRITE
-
-        def read_ints(node: int, address: int, is_spin: bool) -> int:
-            result = process_read(
-                MemoryAccess(node, address, spin_type if is_spin else read_type)
-            )
-            if record_all is not None:
-                record_all(result.messages)
-            return code_of[result.miss_class]
-
-        def write_ints(node: int, address: int) -> None:
-            result = process_write(MemoryAccess(node, address, write_type))
-            if record_all is not None:
-                record_all(result.messages)
-
-        return read_ints, write_ints
-
     def _replay_chunk(self, chunk: TraceChunk) -> None:
         """Replay one packed chunk through the mode's replay plane.
 
@@ -459,8 +422,9 @@ class TSESimulator:
 
         Operates on the raw columns — int node / block / type-code per
         access, classified through lookup tables and the protocol's
-        ``read_ints`` / ``write_ints`` fast path (no attribute loads, no
-        enum dispatch, no per-access allocation).  Counters are accumulated
+        ``read_ints`` / ``write_ints`` / ``install_copy`` for every cache
+        model and with or without traffic accounting (no attribute loads,
+        no enum dispatch, no per-access allocation).  Counters are accumulated
         in local ints and synced into ``self.stats`` once at the end of the
         chunk; outcome recording appends to the preallocated parallel
         arrays.
@@ -479,19 +443,13 @@ class TSESimulator:
         # ---- bind everything the loop touches to locals ----
         tse = self.tse
         protocol = self.protocol
-        if protocol.emit_messages:
-            read_ints, write_ints = self._message_adapters()
-        else:
-            read_ints = protocol.read_ints
-            write_ints = protocol.write_ints
+        read_ints = protocol.read_ints
+        write_ints = protocol.write_ints
+        install_copy = protocol.install_copy
         tse_on_write = tse.on_write
         tse_on_svb_hit = tse.on_svb_hit
         tse_on_consumption = tse.on_consumption
         residency = tse._svb_residency
-        install_copy = (
-            protocol.install_copy_ints if protocol._caches is None
-            else protocol.install_copy
-        )
         deliver_fetches = self._deliver_fetches
         node_counts = self._node_access_counts
         engines = [node.engine for node in tse.nodes]
@@ -649,10 +607,11 @@ class TSESimulator:
         Same column decoding as :meth:`_replay_chunk_exact`, but every TSE
         event goes through the fast engine's fused handlers — delivery
         happens inside the event, so there is no fetch-batch plumbing and
-        no outcome recording (rejected at construction).  On the dominant
-        configuration (infinite cache model, no message emission) the
-        coherence protocol itself is inlined as a slim shadow: miss
-        classification in this model depends only on each block's
+        no outcome recording (rejected at construction).  Classification
+        goes through the same protocol calls as the exact loop, except on
+        the dominant configuration (infinite cache model, no message sink),
+        where :meth:`_replay_chunk_fast_slim` inlines the protocol as a slim
+        shadow: miss classification in this model depends only on each block's
         ``version`` / ``last_writer`` / ``held_version``, so the
         directory-entry occupancy bookkeeping (sharers sets, entry states,
         owner fields) that nothing downstream reads is skipped entirely and
@@ -665,7 +624,7 @@ class TSESimulator:
         if n == 0:
             return
         protocol = self.protocol
-        if protocol._caches is None and not protocol.emit_messages:
+        if protocol._caches is None and protocol.message_sink is None:
             self._replay_chunk_fast_slim(chunk)
             return
         nodes_col = nodes_col.tolist()
@@ -673,11 +632,9 @@ class TSESimulator:
         types_col = chunk.types.tolist()
 
         fast = self.fast
-        if protocol.emit_messages:
-            read_ints, write_ints = self._message_adapters()
-        else:
-            read_ints = protocol.read_ints
-            write_ints = protocol.write_ints
+        read_ints = protocol.read_ints
+        write_ints = protocol.write_ints
+        install_copy = protocol.install_copy
         consume = fast.consume
         hit = fast.hit
         invalidate = fast.invalidate
@@ -685,10 +642,6 @@ class TSESimulator:
         residency = fast._svb_residency
         svbs = fast._svbs
         clocks = fast._clocks
-        install_copy = (
-            protocol.install_copy_ints if protocol._caches is None
-            else protocol.install_copy
-        )
         blocks_map = protocol._blocks
         inline_hits = protocol._caches is None
 
@@ -774,8 +727,8 @@ class TSESimulator:
     def _replay_chunk_fast_slim(self, chunk: TraceChunk) -> None:
         """Fast-plane replay with the coherence protocol inlined (slim shadow).
 
-        Only reachable with the infinite cache model and message emission
-        off (the sweep-scale configuration fast mode exists for).  In that
+        Only reachable with the infinite cache model and no message sink
+        (the sweep-scale configuration fast mode exists for).  In that
         model ``read_ints`` / ``write_ints`` classify purely from the
         per-block ``(version, last_writer, held_version)`` triple; the
         directory-entry side effects they also perform (sharers sets,

@@ -131,14 +131,97 @@ class TestFiniteCacheModel:
             CoherenceProtocol(num_nodes=1, cache_model="finite")
 
 
+def messages_of_last(accesses, num_nodes=4):
+    """(miss class, messages of the last access) as (type, src, dst, block)."""
+    sent = []
+    protocol = CoherenceProtocol(num_nodes=num_nodes, message_sink=sent.append)
+    for access in accesses[:-1]:
+        protocol.process(access)
+    del sent[:]
+    result = protocol.process(accesses[-1])
+    return result.miss_class, [(m.msg_type.name, m.src, m.dst, m.address) for m in sent]
+
+
+#: Exact message sequence of every protocol transition, in the order the
+#: sink receives it: 4 nodes, block 10 (home node 2).
+TRANSITIONS = {
+    "cold_read": (
+        [read(0, 10)],
+        MissClass.COLD_MISS,
+        [("READ_REQUEST", 0, 2, 10), ("DATA_REPLY", 2, 0, 10)],
+    ),
+    "coherent_read_producer_not_home": (
+        [write(1, 10), read(0, 10)],
+        MissClass.COHERENT_READ_MISS,
+        [("READ_REQUEST", 0, 2, 10), ("FORWARD_REQUEST", 2, 1, 10),
+         ("DATA_REPLY_COHERENT", 1, 0, 10)],
+    ),
+    "coherent_read_producer_is_home": (
+        [write(2, 10), read(0, 10)],
+        MissClass.COHERENT_READ_MISS,
+        [("READ_REQUEST", 0, 2, 10), ("DATA_REPLY_COHERENT", 2, 0, 10)],
+    ),
+    "spin_coherent_read": (
+        [write(1, 10), read(0, 10, spin=True)],
+        MissClass.SPIN_COHERENT_MISS,
+        [("READ_REQUEST", 0, 2, 10), ("FORWARD_REQUEST", 2, 1, 10),
+         ("DATA_REPLY_COHERENT", 1, 0, 10)],
+    ),
+    "write_miss_no_sharers": (
+        [write(0, 10)],
+        MissClass.WRITE_MISS,
+        [("READ_EXCLUSIVE_REQUEST", 0, 2, 10), ("DATA_REPLY", 2, 0, 10)],
+    ),
+    "write_miss_one_sharer": (
+        [read(1, 10), write(0, 10)],
+        MissClass.WRITE_MISS,
+        [("READ_EXCLUSIVE_REQUEST", 0, 2, 10), ("INVALIDATE", 2, 1, 10),
+         ("INVALIDATE_ACK", 1, 0, 10), ("DATA_REPLY", 2, 0, 10)],
+    ),
+    "write_miss_sharers_including_home": (
+        [read(1, 10), read(2, 10), read(3, 10), write(0, 10)],
+        MissClass.WRITE_MISS,
+        [("READ_EXCLUSIVE_REQUEST", 0, 2, 10), ("INVALIDATE", 2, 1, 10),
+         ("INVALIDATE_ACK", 1, 0, 10), ("INVALIDATE", 2, 3, 10),
+         ("INVALIDATE_ACK", 3, 0, 10), ("DATA_REPLY", 2, 0, 10)],
+    ),
+    "write_miss_after_remote_write": (
+        [write(1, 10), write(0, 10)],
+        MissClass.WRITE_MISS,
+        [("READ_EXCLUSIVE_REQUEST", 0, 2, 10), ("INVALIDATE", 2, 1, 10),
+         ("INVALIDATE_ACK", 1, 0, 10), ("DATA_REPLY", 2, 0, 10)],
+    ),
+    "upgrade": (
+        [read(0, 10), read(1, 10), write(0, 10)],
+        MissClass.HIT,
+        [("UPGRADE_REQUEST", 0, 2, 10), ("INVALIDATE", 2, 1, 10),
+         ("INVALIDATE_ACK", 1, 0, 10)],
+    ),
+    "upgrade_home_victim": (
+        [read(0, 10), read(2, 10), write(0, 10)],
+        MissClass.HIT,
+        [("UPGRADE_REQUEST", 0, 2, 10)],
+    ),
+    "silent_upgrade": ([read(0, 10), write(0, 10)], MissClass.HIT, []),
+    "private_rewrite": ([write(0, 10), write(0, 10)], MissClass.HIT, []),
+}
+
+
 class TestMessagesAndExtraction:
     def test_coherent_miss_generates_three_hop_messages(self):
-        protocol = CoherenceProtocol(num_nodes=4, emit_messages=True)
+        sent = []
+        protocol = CoherenceProtocol(num_nodes=4, message_sink=sent.append)
         protocol.process(write(1, 10))
-        result = protocol.process(read(0, 10))
-        types = [m.msg_type for m in result.messages]
+        del sent[:]
+        protocol.process(read(0, 10))
+        types = [m.msg_type for m in sent]
         assert MessageType.READ_REQUEST in types
         assert MessageType.DATA_REPLY_COHERENT in types
+
+    @pytest.mark.parametrize("name", sorted(TRANSITIONS))
+    def test_transition_message_sequence(self, name):
+        accesses, miss_class, expected = TRANSITIONS[name]
+        assert messages_of_last(accesses) == (miss_class, expected)
 
     def test_message_sizes_include_data_payload(self):
         control = CoherenceMessage(MessageType.READ_REQUEST, 0, 1, 5)
