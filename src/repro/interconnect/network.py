@@ -9,7 +9,7 @@ results (Figure 11 and the Section 5.4 pin-bandwidth discussion).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
 from repro.coherence.messages import CoherenceMessage, MessageType
 from repro.common.config import InterconnectConfig
@@ -101,10 +101,6 @@ class TrafficAccountant:
         is_overhead = message.msg_type.is_tse_overhead if overhead is None else overhead
         target = self.overhead if is_overhead else self.baseline
         target.add(message.msg_type, size, crosses)
-
-    def record_all(self, messages: Iterable[CoherenceMessage]) -> None:
-        for message in messages:
-            self.record(message)
 
     # ------------------------------------------------------------- reporting
     def overhead_ratio(self) -> float:
