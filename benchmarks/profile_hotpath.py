@@ -1,4 +1,4 @@
-"""Profile one functional replay and print the hottest functions.
+"""Profile one functional replay (or timing comparison) and print the hottest functions.
 
 The standing tool for "where is the next bottleneck": runs a single
 uncached paper-default replay of one workload under ``cProfile`` and prints
@@ -10,13 +10,16 @@ Usage::
     PYTHONPATH=src python benchmarks/profile_hotpath.py db2
     PYTHONPATH=src python benchmarks/profile_hotpath.py db2 --mode fast
     PYTHONPATH=src python benchmarks/profile_hotpath.py db2 --mode both --top 12
+    PYTHONPATH=src python benchmarks/profile_hotpath.py em3d --mode timing --accesses 40000
     PYTHONPATH=src python benchmarks/profile_hotpath.py apache --accesses 160000 --top 30
     PYTHONPATH=src python benchmarks/profile_hotpath.py em3d --sort tottime
 
 ``--mode fast`` profiles the REPRO_FAST_MODE batched plane instead of the
 exact pipeline; ``--mode both`` profiles each plane once and prints a
 side-by-side top-N table (ranked by the fast plane's self time), so the
-residual fast-mode bottleneck is visible at a glance.
+residual fast-mode bottleneck is visible at a glance.  ``--mode timing``
+profiles one ``TimingSimulator.compare()`` (base labelling, TSE replay and
+both timing walks) on a fresh copy of the trace instead of a replay.
 
 Note that ``cProfile`` charges ~0.5µs per function call, which inflates
 call-heavy code relative to slice/``memcmp``-heavy code — confirm any
@@ -32,27 +35,36 @@ import pstats
 import time
 
 
-def _run_once(trace, config, mode: str) -> float:
-    """One uncached replay; returns wall-clock seconds."""
+def _call(trace, config, mode: str):
+    """The measured call: one uncached replay in ``mode``, or for ``timing``
+    one ``TimingSimulator.compare()`` on a fresh copy of the trace (labels
+    are memoized on the trace object, so a reused trace skips labelling)."""
+    from repro.common.chunk import ChunkedTrace
     from repro.common.config import DEFAULT_WARMUP_FRACTION
+    from repro.system.timing import TimingSimulator
     from repro.tse.simulator import run_tse_on_trace
 
-    start = time.perf_counter()
-    run_tse_on_trace(
+    if mode == "timing":
+        fresh = ChunkedTrace.from_payload(trace.to_payload())
+        return lambda: TimingSimulator(tse_config=config).compare(fresh)
+    return lambda: run_tse_on_trace(
         trace, config, warmup_fraction=DEFAULT_WARMUP_FRACTION, mode=mode
     )
+
+
+def _run_once(trace, config, mode: str) -> float:
+    """One unprofiled call; returns wall-clock seconds."""
+    call = _call(trace, config, mode)
+    start = time.perf_counter()
+    call()
     return time.perf_counter() - start
 
 
 def _profile_once(trace, config, mode: str) -> pstats.Stats:
-    from repro.common.config import DEFAULT_WARMUP_FRACTION
-    from repro.tse.simulator import run_tse_on_trace
-
+    call = _call(trace, config, mode)
     profile = cProfile.Profile()
     profile.enable()
-    run_tse_on_trace(
-        trace, config, warmup_fraction=DEFAULT_WARMUP_FRACTION, mode=mode
-    )
+    call()
     profile.disable()
     return pstats.Stats(profile)
 
@@ -99,10 +111,11 @@ def main() -> int:
     parser.add_argument("--lookahead", type=int, default=None,
                         help="stream lookahead (default: the paper's value "
                         "for the workload)")
-    parser.add_argument("--mode", choices=("exact", "fast", "both"),
+    parser.add_argument("--mode", choices=("exact", "fast", "both", "timing"),
                         default="exact",
                         help="replay pipeline to profile; 'both' prints a "
-                        "side-by-side top-N self-time table")
+                        "side-by-side top-N self-time table; 'timing' "
+                        "profiles one base-vs-TSE timing comparison")
     parser.add_argument("--top", type=int, default=20,
                         help="number of functions to print (default 20)")
     parser.add_argument("--sort", choices=("cumulative", "tottime"),

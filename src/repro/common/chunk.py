@@ -24,10 +24,13 @@ Consumers choose their view:
 
 * the functional simulator replays raw columns chunk-at-a-time
   (:meth:`repro.tse.simulator.TSESimulator.run` fast path);
-* legacy/object consumers (timing walk, analysis, tests) use the **thin
-  object view** — :meth:`TraceChunk.iter_accesses` /
-  :attr:`ChunkedTrace.accesses` — which materializes ``MemoryAccess``
-  objects on demand, bit-identical to the v2 engine's old output.
+* the timing model classifies the raw columns and walks each node's
+  timestamp and dependence columns
+  (:class:`repro.system.timing.TimingSimulator`);
+* legacy/object consumers (analysis, tests) use the **thin object view** —
+  :meth:`TraceChunk.iter_accesses` / :attr:`ChunkedTrace.accesses` — which
+  materializes ``MemoryAccess`` objects on demand, bit-identical to the v2
+  engine's old output.
 
 Chunk size comes from :func:`repro.common.config.stream_chunk_size`
 (``REPRO_STREAM_CHUNK``).

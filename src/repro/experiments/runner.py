@@ -56,8 +56,8 @@ def trace_for(
     so caching them lets one experiment sweep many TSE configurations without
     regenerating the workload each time.  The trace is columnar
     (:class:`~repro.common.chunk.ChunkedTrace`): the functional simulator
-    replays its packed chunks directly, while object consumers (timing walk,
-    analysis) use the materialized ``.accesses`` view.
+    and the timing model read its packed chunks directly, while object
+    consumers (analysis) use the materialized ``.accesses`` view.
     """
     payload = _PRELOADED.pop((workload, target_accesses, seed, num_nodes), None)
     if payload is not None:

@@ -15,16 +15,22 @@ Stalls accumulate into two buckets — coherent-read stalls (what TSE attacks)
 and other stalls — matching Figure 14's execution-time breakdown.  The model
 also measures consumption MLP (the average number of outstanding coherent
 read misses when at least one is outstanding), reported in Table 3.
+
+The walk reads one node's accesses as plain-int columns — timestamps,
+dependence flags, outcome codes and SVB-hit leads — which
+:class:`repro.system.timing.TimingSimulator` splits out of the packed trace
+chunks and the functional labels; no ``MemoryAccess`` object is built.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 from repro.common.config import SystemConfig
 from repro.common.stats import ratio
-from repro.common.types import MemoryAccess
 from repro.node.latency import LatencyModel
 from repro.tse.simulator import Outcome
 
@@ -68,17 +74,20 @@ class NodeTimingResult:
         self.mlp_busy_time += other.mlp_busy_time
 
 
-@dataclass
-class _OutstandingMiss:
-    """One in-flight off-chip miss tracked by the interval model."""
+#: ``earliest`` completion while no miss is outstanding.
+_NEVER = float("inf")
+_instruction = itemgetter(0)
+_completion = itemgetter(1)
 
-    completion: float
-    instruction: int
-    is_consumption: bool
+
+def _retire(outstanding: List[Tuple[int, float, bool]], clock: float) -> float:
+    """Drop the misses completed by ``clock``; return the earliest completion left."""
+    outstanding[:] = [miss for miss in outstanding if miss[1] > clock]
+    return min(map(_completion, outstanding), default=_NEVER)
 
 
 class ProcessorModel:
-    """Interval-based timing walk over one node's labelled access sequence."""
+    """Interval-based timing walk over one node's labelled access columns."""
 
     #: Spin reads burn issue slots but their latency is synchronisation time,
     #: charged to "other stalls" at a discounted rate (the spin overlaps the
@@ -92,78 +101,81 @@ class ProcessorModel:
         self._rob = system.processor.rob_entries
         self._mshrs = system.l2.mshrs
 
-    # ----------------------------------------------------------------- helpers
-    def _charge_wait(
-        self, result: NodeTimingResult, clock: float, target: float, coherent: bool
-    ) -> float:
-        """Advance the clock to ``target``, charging the wait to a stall bucket."""
-        wait = target - clock
-        if wait <= 0:
-            return clock
-        if coherent:
-            result.coherent_read_stall_cycles += wait
-        else:
-            result.other_stall_cycles += wait
-        return target
-
-    @staticmethod
-    def _drain_completed(outstanding: List[_OutstandingMiss], clock: float) -> None:
-        outstanding[:] = [m for m in outstanding if m.completion > clock]
-
-    # -------------------------------------------------------------------- walk
     def run_node(
         self,
         node: int,
-        accesses: Sequence[MemoryAccess],
-        outcomes: Sequence[Tuple[int, int]],
+        timestamps: Sequence[int],
+        deps: Sequence[int],
+        codes: Sequence[int],
+        leads: Sequence[int],
     ) -> NodeTimingResult:
-        """Walk one node's accesses with their outcome labels.
+        """Walk one node's accesses, given as parallel per-access columns.
 
         Args:
             node: Node id (for the result record).
-            accesses: The node's accesses in program order.
-            outcomes: Parallel (Outcome, lead_instructions) labels produced by
-                the functional simulator for the same accesses.
+            timestamps: Each access's logical retire time (instruction
+                count), in program order.
+            deps: Nonzero where the access is dependent (pointer chasing).
+            codes: Each access's :class:`~repro.tse.simulator.Outcome` code,
+                as labelled by the functional simulator.
+            leads: Each SVB hit's lead in node-local accesses (ignored for
+                other outcomes).
+
+        Raises:
+            ValueError: The four columns differ in length.
         """
-        result = NodeTimingResult(node=node)
-        if len(accesses) != len(outcomes):
-            raise ValueError("accesses and outcomes must be parallel sequences")
+        if not len(timestamps) == len(deps) == len(codes) == len(leads):
+            raise ValueError("timestamps, deps, codes and leads must be parallel columns")
 
-        clock = 0.0
-        previous_timestamp = 0
-        outstanding: List[_OutstandingMiss] = []
-        last_miss_completion = 0.0
-        # MLP bookkeeping: each consumption is outstanding for exactly its
-        # latency; mlp_busy_time is the union of those intervals, tracked
-        # incrementally because issues happen in increasing clock order.
-        mlp_cover_end = 0.0
-        # Wall-clock at which each of the node's earlier accesses was reached;
-        # used to reconstruct when a streamed block's fetch was issued.
-        wallclock_history: List[float] = []
-
-        # Outcome codes compared as plain ints: the labels arrive as raw
-        # array values and constructing an enum member per access dominates
-        # the walk otherwise.
+        latency = self.latency
+        coherent_latency = latency.coherent_read_cycles
+        remote_latency = latency.remote_memory_cycles
+        spin_stall = coherent_latency * self.SPIN_STALL_FRACTION
+        fetch = latency.stream_fetch_cycles + latency.block_serialization_cycles
+        ipc, rob, mshrs = self._ipc, self._rob, self._mshrs
+        # Outcome codes compared as plain ints: building an enum member per
+        # access would dominate the walk.
         other_code = int(Outcome.OTHER)
         write_code = int(Outcome.WRITE)
         spin_code = int(Outcome.SPIN)
         svb_hit_code = int(Outcome.SVB_HIT)
         consumption_code = int(Outcome.CONSUMPTION)
-        ipc = self._ipc
 
-        for access, (outcome_code, lead) in zip(accesses, outcomes):
-            outcome = int(outcome_code)
-            # Busy time for the instructions since the previous access.
-            gap_instructions = access.timestamp - previous_timestamp
-            if gap_instructions < 0:
-                gap_instructions = 0
-            busy = gap_instructions / ipc
-            clock += busy
-            result.busy_cycles += busy
-            previous_timestamp = access.timestamp
-            wallclock_history.append(clock)
-            if outstanding:
-                self._drain_completed(outstanding, clock)
+        busy_cycles = 0.0
+        # Other and coherent-read stall cycles, indexed by is_consumption.
+        stalls = [0.0, 0.0]
+        fully_covered = partially_covered = uncovered = 0
+        mlp_area = mlp_busy_time = 0.0
+        clock = 0.0
+        previous_timestamp = 0
+        # In-flight misses as (instruction, completion, is_consumption) tuples
+        # in instruction order (ties in issue order), and their earliest
+        # completion: retiring is needed only once the clock passes it.
+        outstanding: List[Tuple[int, float, bool]] = []
+        earliest = _NEVER
+        last_miss_completion = 0.0
+        # MLP bookkeeping: each consumption is outstanding for exactly its
+        # latency; mlp_busy_time is the union of those intervals, tracked
+        # incrementally because issues happen in increasing clock order.
+        mlp_cover_end = 0.0
+        # Wall-clock at which each of the node's accesses was reached; used to
+        # reconstruct when a streamed block's fetch was issued.
+        wallclock_history: List[float] = []
+        record_clock = wallclock_history.append
+
+        for index, (timestamp, dependent, outcome, lead) in enumerate(
+            zip(timestamps, deps, codes, leads)
+        ):
+            # Busy time for the instructions since the previous access (none
+            # when the timestamp repeats or goes backwards).
+            if timestamp > previous_timestamp:
+                busy = (timestamp - previous_timestamp) / ipc
+                clock += busy
+                busy_cycles += busy
+            previous_timestamp = timestamp
+            record_clock(clock)
+            if earliest <= clock:
+                earliest = _retire(outstanding, clock)
 
             if outcome == other_code or outcome == write_code:
                 # Cache hits retire at full speed; write latency is hidden by
@@ -171,9 +183,7 @@ class ProcessorModel:
                 continue
 
             if outcome == spin_code:
-                result.other_stall_cycles += (
-                    self.latency.coherent_read_cycles * self.SPIN_STALL_FRACTION
-                )
+                stalls[0] += spin_stall
                 continue
 
             if outcome == svb_hit_code:
@@ -182,94 +192,96 @@ class ProcessorModel:
                 # latency.  If it has already arrived the consumption is fully
                 # hidden, otherwise the remainder stalls the processor
                 # (partial coverage, Table 3).
-                request_index = len(wallclock_history) - 1 - int(lead)
-                if 0 <= request_index < len(wallclock_history):
-                    request_clock = wallclock_history[request_index]
-                else:
-                    request_clock = clock
-                fetch = self.latency.stream_fetch_cycles + self.latency.block_serialization_cycles
+                request_clock = wallclock_history[index - lead] if 0 <= lead <= index else clock
                 arrival = request_clock + fetch
-                remaining = arrival - clock
-                if remaining <= 0:
-                    result.fully_covered += 1
+                if arrival <= clock:
+                    fully_covered += 1
+                    continue
+                partially_covered += 1
+                if dependent:
+                    # Pointer-chasing code needs the data immediately.
+                    stalls[1] += arrival - clock
+                    clock = arrival
                 else:
-                    result.partially_covered += 1
-                    if access.dependent:
-                        # Pointer-chasing code needs the data immediately.
-                        clock = self._charge_wait(result, clock, arrival, coherent=True)
-                    else:
-                        # Independent consumers keep executing; the in-flight
-                        # streamed block behaves like an outstanding miss and
-                        # its residual latency overlaps with other work.
-                        outstanding.append(
-                            _OutstandingMiss(
-                                completion=arrival,
-                                instruction=access.timestamp,
-                                is_consumption=True,
-                            )
-                        )
-                        outstanding.sort(key=lambda m: m.instruction)
-                        last_miss_completion = max(last_miss_completion, arrival)
+                    # Independent consumers keep executing; the in-flight
+                    # streamed block behaves like an outstanding miss and
+                    # its residual latency overlaps with other work.
+                    insort(outstanding, (timestamp, arrival, True), key=_instruction)
+                    if arrival < earliest:
+                        earliest = arrival
+                    if arrival > last_miss_completion:
+                        last_miss_completion = arrival
                 continue
 
             # --- true off-chip misses ----------------------------------------
             is_consumption = outcome == consumption_code
-            latency = (
-                self.latency.coherent_read_cycles
-                if is_consumption
-                else self.latency.remote_memory_cycles
-            )
+            miss_latency = coherent_latency if is_consumption else remote_latency
 
             # Dependence: pointer-chasing accesses wait for the previous miss.
-            if access.dependent and last_miss_completion > clock:
-                clock = self._charge_wait(
-                    result, clock, last_miss_completion, coherent=is_consumption
-                )
-                self._drain_completed(outstanding, clock)
+            # No miss completes after the last one, so none is left.
+            if dependent and last_miss_completion > clock:
+                stalls[is_consumption] += last_miss_completion - clock
+                clock = last_miss_completion
+                outstanding.clear()
+                earliest = _NEVER
 
             # MSHR limit.
-            while len(outstanding) >= self._mshrs:
-                earliest = min(outstanding, key=lambda m: m.completion)
-                clock = self._charge_wait(result, clock, earliest.completion, coherent=True)
-                self._drain_completed(outstanding, clock)
+            while len(outstanding) >= mshrs:
+                if earliest > clock:
+                    stalls[1] += earliest - clock
+                    clock = earliest
+                earliest = _retire(outstanding, clock)
 
             # ROB window: the oldest outstanding miss must retire before an
             # instruction more than `rob` younger can issue.
-            while outstanding and (
-                access.timestamp - outstanding[0].instruction > self._rob
-            ):
-                oldest = outstanding[0]
-                clock = self._charge_wait(
-                    result, clock, oldest.completion, coherent=oldest.is_consumption
-                )
-                self._drain_completed(outstanding, clock)
+            while outstanding and timestamp - outstanding[0][0] > rob:
+                _, completion, consumption = outstanding[0]
+                if completion > clock:
+                    stalls[consumption] += completion - clock
+                    clock = completion
+                earliest = _retire(outstanding, clock)
 
-            completion = clock + latency
-            outstanding.append(
-                _OutstandingMiss(
-                    completion=completion,
-                    instruction=access.timestamp,
-                    is_consumption=is_consumption,
-                )
-            )
-            outstanding.sort(key=lambda m: m.instruction)
-            last_miss_completion = max(last_miss_completion, completion)
+            completion = clock + miss_latency
+            insort(outstanding, (timestamp, completion, is_consumption), key=_instruction)
+            if completion < earliest:
+                earliest = completion
+            if completion > last_miss_completion:
+                last_miss_completion = completion
             if is_consumption:
-                result.uncovered += 1
-                # MLP: this consumption is outstanding for exactly `latency`;
-                # the busy-time denominator is the union of such intervals.
-                result.mlp_area += latency
-                covered_from = max(clock, mlp_cover_end)
+                uncovered += 1
+                # MLP: this consumption is outstanding for exactly its
+                # latency; the busy-time denominator is the union of such
+                # intervals.
+                mlp_area += miss_latency
+                covered_from = mlp_cover_end if mlp_cover_end > clock else clock
                 if completion > covered_from:
-                    result.mlp_busy_time += completion - covered_from
-                mlp_cover_end = max(mlp_cover_end, completion)
+                    mlp_busy_time += completion - covered_from
+                if completion > mlp_cover_end:
+                    mlp_cover_end = completion
             # Dependent misses stall the processor for their full latency
-            # (the next instruction needs the data).
-            if access.dependent:
-                clock = self._charge_wait(result, clock, completion, coherent=is_consumption)
-                self._drain_completed(outstanding, clock)
+            # (the next instruction needs the data).  Issued no earlier than
+            # the previous last completion, this miss completes last.
+            if dependent:
+                stalls[is_consumption] += completion - clock
+                clock = completion
+                outstanding.clear()
+                earliest = _NEVER
 
-        # Drain: the remaining outstanding misses stall the end of the interval.
-        for miss in sorted(outstanding, key=lambda m: m.completion):
-            clock = self._charge_wait(result, clock, miss.completion, coherent=miss.is_consumption)
-        return result
+        # Drain: the remaining outstanding misses stall the end of the
+        # interval, earliest completion first (ties in instruction order).
+        for _, completion, consumption in sorted(outstanding, key=_completion):
+            if completion > clock:
+                stalls[consumption] += completion - clock
+                clock = completion
+
+        return NodeTimingResult(
+            node=node,
+            busy_cycles=busy_cycles,
+            coherent_read_stall_cycles=stalls[1],
+            other_stall_cycles=stalls[0],
+            fully_covered=fully_covered,
+            partially_covered=partially_covered,
+            uncovered=uncovered,
+            mlp_area=mlp_area,
+            mlp_busy_time=mlp_busy_time,
+        )

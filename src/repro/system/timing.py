@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import gc
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from repro.coherence.protocol import CoherenceProtocol
@@ -119,6 +121,13 @@ _OUTCOME_OF_READ = (
 )
 
 
+def _chunks(trace: "Union[AccessTrace, ChunkedTrace]") -> Sequence[TraceChunk]:
+    """The trace as packed chunks (an ``AccessTrace`` is packed into one)."""
+    if isinstance(trace, ChunkedTrace):
+        return trace.chunks()
+    return [TraceChunk.from_accesses(trace.accesses)]
+
+
 def _classify(trace: "Union[AccessTrace, ChunkedTrace]") -> Tuple[array, array]:
     """Base-system labels: one coherence classification pass, no TSE.
 
@@ -129,16 +138,12 @@ def _classify(trace: "Union[AccessTrace, ChunkedTrace]") -> Tuple[array, array]:
     read_ints, write_ints = protocol.read_ints, protocol.write_ints
     is_write, spin_code = TYPE_IS_WRITE, TYPE_SPIN_READ
     outcome_of_read, outcome_write = _OUTCOME_OF_READ, int(Outcome.WRITE)
-    chunks = (
-        trace.chunks() if isinstance(trace, ChunkedTrace)
-        else [TraceChunk.from_accesses(trace.accesses)]
-    )
     codes = array("B")
     append = codes.append
     gc_was_enabled = gc.isenabled()
     gc.disable()  # the pass allocates no reference cycles
     try:
-        for chunk in chunks:
+        for chunk in _chunks(trace):
             columns = zip(chunk.types.tolist(), chunk.nodes.tolist(), chunk.blocks.tolist())
             for type_code, node, address in columns:
                 if is_write[type_code]:
@@ -152,15 +157,42 @@ def _classify(trace: "Union[AccessTrace, ChunkedTrace]") -> Tuple[array, array]:
     return codes, array("q", [0]) * len(codes)
 
 
+def _split_by_node(
+    trace: "Union[AccessTrace, ChunkedTrace]",
+) -> Tuple[List[int], List[int], List[int], List[int]]:
+    """Group the trace's accesses by node, keeping program order per node.
+
+    Returns ``(order, bounds, timestamps, deps)``: ``order`` lists trace
+    positions node by node, node ``n``'s accesses are
+    ``order[bounds[n]:bounds[n + 1]]``, and ``timestamps``/``deps`` are those
+    columns gathered in ``order``.
+    """
+    nodes: List[int] = []
+    timestamps: List[int] = []
+    deps: List[int] = []
+    for chunk in _chunks(trace):
+        nodes += chunk.nodes.tolist()
+        timestamps += chunk.timestamps.tolist()
+        deps += chunk.deps.tolist()
+    order = sorted(range(len(nodes)), key=nodes.__getitem__)  # stable: program order
+    counts = Counter(nodes)
+    bounds = [0, *accumulate(counts[node] for node in range(trace.num_nodes))]
+    return (
+        order, bounds,
+        list(map(timestamps.__getitem__, order)), list(map(deps.__getitem__, order)),
+    )
+
+
 def _cached_labels(
     trace: "Union[AccessTrace, ChunkedTrace]", key: Hashable, label: Callable
 ) -> tuple:
-    """Memoize a labelling of ``trace`` on the trace object itself.
+    """Memoize a labelling (or the per-node split) of ``trace`` on the trace.
 
     TSE labellings are keyed by their exact configuration.  The base
-    labels depend on the trace alone, so every configuration sweep over the
-    same trace shares one classification pass, and repeated ``compare()``
-    calls (Figure 14 + Table 3) reuse both labellings outright.
+    labels and the per-node split depend on the trace alone, so every
+    configuration sweep over the same trace shares one classification pass
+    and one split, and repeated ``compare()`` calls (Figure 14 + Table 3)
+    reuse both labellings outright.
     The trace length guards against ``AccessTrace.append``/``extend`` after a
     cached run: a grown trace gets a fresh labelling.
     """
@@ -192,7 +224,7 @@ class TimingSimulator:
     # ---------------------------------------------------------------- plumbing
     def _replay_tse(
         self, trace: "Union[AccessTrace, ChunkedTrace]"
-    ) -> Tuple[TSEStats, Sequence[int], Sequence[int]]:
+    ) -> Tuple[TSEStats, array, array]:
         """Label each access with its TSE outcome and SVB-hit lead."""
         # Outcome labeling needs per-access fill times, which only the exact
         # plane records: pin mode explicitly so an ambient REPRO_FAST_MODE
@@ -209,20 +241,20 @@ class TimingSimulator:
     def _run_timing(
         self,
         trace: "Union[AccessTrace, ChunkedTrace]",
-        codes: Sequence[int],
-        leads: Sequence[int],
+        codes: array,
+        leads: array,
         label: str,
     ) -> TimingResult:
-        per_node_accesses: List[List] = [[] for _ in range(trace.num_nodes)]
-        per_node_outcomes: List[List[Tuple[int, int]]] = [[] for _ in range(trace.num_nodes)]
-        for access, code, lead in zip(trace.accesses, codes, leads):
-            per_node_accesses[access.node].append(access)
-            per_node_outcomes[access.node].append((code, lead))
+        """Walk each node's columns with their labels through the processor model."""
+        order, bounds, timestamps, deps = _cached_labels(trace, "split", _split_by_node)
+        codes = list(map(codes.tolist().__getitem__, order))
+        leads = list(map(leads.tolist().__getitem__, order))
         result = TimingResult(label=label, workload=trace.name)
         for node in range(trace.num_nodes):
-            result.per_node.append(
-                self._processor.run_node(node, per_node_accesses[node], per_node_outcomes[node])
-            )
+            lo, hi = bounds[node], bounds[node + 1]
+            result.per_node.append(self._processor.run_node(
+                node, timestamps[lo:hi], deps[lo:hi], codes[lo:hi], leads[lo:hi]
+            ))
         return result
 
     # --------------------------------------------------------------------- API

@@ -36,7 +36,7 @@ import enum
 from array import array
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Optional, Sequence, Union
 
 from repro.coherence.protocol import (
     READ_CAPACITY,
@@ -209,11 +209,6 @@ class TSESimulator:
                 num_nodes, self.tse_config, self.protocol.directory, message_sink=sink
             )
         self.stats = TSEStats()
-
-    @property
-    def outcomes(self) -> List[Tuple[int, int]]:
-        """Recorded (outcome code, lead) pairs, one per processed access."""
-        return list(zip(self.outcome_codes, self.outcome_leads))
 
     @staticmethod
     def _default_interconnect(num_nodes: int) -> InterconnectConfig:
